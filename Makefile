@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet check bench bench-preproc bench-load bench-fleet bench-gemm bench-stream bench-tenant
+.PHONY: all build test race vet perfbench-check check bench bench-preproc bench-load bench-fleet bench-gemm bench-stream bench-tenant
 
 all: check
 
@@ -13,18 +13,17 @@ test: build
 vet:
 	$(GO) vet ./...
 
-# Race-check the concurrency-heavy packages (serving path incl. the
-# replica-pool router, the lock-free metrics recorders, the trace ring
-# buffer, pipeline, the live sim-vs-real validation, the pooled
-# preprocessing engines, the load harness, and the compute backend:
-# the goroutine-parallel packed/quantized GEMM kernels and the pooled
-# scratch buffers of the executable models, plus the streaming camera
-# ingest tier with its async frame completions and serialized uplink).
+# Race-check every package of the root module.
 race:
-	$(GO) test -race ./internal/serve/... ./internal/fleet/... ./internal/metrics/... ./internal/trace/... ./internal/pipeline/... ./internal/scaleout/... ./internal/imaging/... ./internal/preprocess/... ./internal/loadgen/... ./internal/tensor/... ./internal/quant/... ./internal/models/... ./internal/stream/... ./internal/transfer/... ./internal/modelio/...
+	$(GO) test -race ./...
 
-# The CI gate: tier-1 tests plus vet and the race suite.
-check: build vet test race
+# perfbench is its own module (the root ./... skips it) but builds
+# against the serving API, so the gate vets and tests it too.
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
+
+# The CI gate: tier-1 tests plus vet, the race suite and perfbench.
+check: build vet test race perfbench-check
 
 bench:
 	$(GO) test -bench=. -benchmem

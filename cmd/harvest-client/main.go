@@ -128,13 +128,12 @@ func main() {
 		}
 		fmt.Printf("server: requests=%d items=%d batches=%d errors=%d cancelled=%d shed=%d expired=%d\n",
 			m.Requests, m.Items, m.Batches, m.Errors, m.Cancelled, m.Shed, m.Expired)
-		fmt.Printf("server queue ms:   p50=%.2f p95=%.2f p99=%.2f\n",
-			m.QueueMs.P50Ms, m.QueueMs.P95Ms, m.QueueMs.P99Ms)
-		fmt.Printf("server compute ms: p50=%.2f p95=%.2f p99=%.2f\n",
-			m.ComputeMs.P50Ms, m.ComputeMs.P95Ms, m.ComputeMs.P99Ms)
-		for cls, q := range m.QueueMsByClass {
-			fmt.Printf("server queue ms [%s]: p50=%.2f p95=%.2f p99=%.2f\n",
-				cls, q.P50Ms, q.P95Ms, q.P99Ms)
+		q, c := m.QueueHist.Summary(), m.ComputeHist.Summary()
+		fmt.Printf("server queue ms:   p50=%.2f p95=%.2f p99=%.2f\n", q.P50*1000, q.P95*1000, q.P99*1000)
+		fmt.Printf("server compute ms: p50=%.2f p95=%.2f p99=%.2f\n", c.P50*1000, c.P95*1000, c.P99*1000)
+		for cls, h := range m.ClassQueueHist {
+			q := h.Summary()
+			fmt.Printf("server queue ms [%s]: p50=%.2f p95=%.2f p99=%.2f\n", cls, q.P50*1000, q.P95*1000, q.P99*1000)
 		}
 	}
 }

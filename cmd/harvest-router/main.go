@@ -35,6 +35,9 @@ import (
 
 	"harvest/internal/pprofserve"
 	"harvest/internal/serve"
+	// Registers the stream ingest metrics block, so the router merges
+	// and exposes its -stream replicas' ingest counters.
+	_ "harvest/internal/stream"
 )
 
 func main() {
@@ -128,11 +131,11 @@ func main() {
 	}
 	met := router.Metrics(context.Background())
 	router.Close()
+	lat := met.Router.Latency.Summary()
 	log.Printf("router: requests=%d errors=%d failovers=%d spills=%d healthy=%d/%d, "+
 		"latency p50/p95/p99 = %.2f/%.2f/%.2f ms",
 		met.Router.Requests, met.Router.Errors, met.Router.Failovers, met.Router.Spills,
-		met.Router.HealthyReplicas, len(met.Router.Replicas),
-		met.Router.LatencyMs.P50Ms, met.Router.LatencyMs.P95Ms, met.Router.LatencyMs.P99Ms)
+		met.Router.HealthyReplicas, len(met.Router.Replicas), lat.P50*1000, lat.P95*1000, lat.P99*1000)
 	for _, m := range met.Models {
 		log.Printf("%s (all replicas): requests=%d items=%d batches=%d errors=%d shed=%d expired=%d",
 			m.Model, m.Requests, m.Items, m.Batches, m.Errors, m.Shed, m.Expired)

@@ -238,7 +238,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		srv.AddMetricsExtension("stream", ing.MetricsJSON, ing.WriteProm)
+		srv.AddMetricsExtension(stream.MetricsExtension, func() any { return ing.Metrics() })
 		mux := http.NewServeMux()
 		mux.Handle("/v2/streams/", ing.Handler())
 		mux.Handle("/", srv.Handler())
@@ -325,10 +325,10 @@ func main() {
 	}
 	srv.Close()
 	for _, m := range srv.Metrics() {
+		q, c := m.QueueHist.Summary(), m.ComputeHist.Summary()
 		log.Printf("%s: requests=%d items=%d batches=%d errors=%d cancelled=%d shed=%d expired=%d "+
 			"queue p50/p95/p99 = %.2f/%.2f/%.2f ms, compute p50/p95/p99 = %.2f/%.2f/%.2f ms",
 			m.Model, m.Requests, m.Items, m.Batches, m.Errors, m.Cancelled, m.Shed, m.Expired,
-			m.QueueLatency.P50*1000, m.QueueLatency.P95*1000, m.QueueLatency.P99*1000,
-			m.ComputeLatency.P50*1000, m.ComputeLatency.P95*1000, m.ComputeLatency.P99*1000)
+			q.P50*1000, q.P95*1000, q.P99*1000, c.P50*1000, c.P95*1000, c.P99*1000)
 	}
 }

@@ -105,7 +105,7 @@ func main() {
 	}
 	for _, m := range met.Models {
 		fmt.Printf("\n%s: %d requests, preprocess p50/max = %.3f/%.3f ms (n=%d)\n",
-			m.Model, m.Requests, m.PreprocessMs.P50Ms, m.PreprocessMs.MaxMs,
-			m.PreprocessMs.Count)
+			m.Model, m.Requests, m.PreprocessHist.Quantile(50)*1000, m.PreprocessHist.Max*1000,
+			m.PreprocessHist.Count)
 	}
 }

@@ -113,7 +113,7 @@ func main() {
 	fmt.Printf("router: failovers=%d spills=%d healthy=%d/%d, p50/p99 = %.2f/%.2f ms\n",
 		met.Router.Failovers, met.Router.Spills,
 		met.Router.HealthyReplicas, len(met.Router.Replicas),
-		met.Router.LatencyMs.P50Ms, met.Router.LatencyMs.P99Ms)
+		met.Router.Latency.Quantile(50)*1000, met.Router.Latency.Quantile(99)*1000)
 	for _, rs := range met.Router.Replicas {
 		fmt.Printf("  %s healthy=%v ejections=%d\n", rs.Name, rs.Healthy, rs.Ejections)
 	}

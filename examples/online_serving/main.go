@@ -107,10 +107,9 @@ func main() {
 	for _, m := range mj.Models {
 		fmt.Printf("%s: requests=%d items=%d batches=%d errors=%d\n",
 			m.Model, m.Requests, m.Items, m.Batches, m.Errors)
-		fmt.Printf("  queue ms:   p50=%7.2f  p95=%7.2f  p99=%7.2f\n",
-			m.QueueMs.P50Ms, m.QueueMs.P95Ms, m.QueueMs.P99Ms)
-		fmt.Printf("  compute ms: p50=%7.2f  p95=%7.2f  p99=%7.2f\n",
-			m.ComputeMs.P50Ms, m.ComputeMs.P95Ms, m.ComputeMs.P99Ms)
+		q, c := m.QueueHist.Summary(), m.ComputeHist.Summary()
+		fmt.Printf("  queue ms:   p50=%7.2f  p95=%7.2f  p99=%7.2f\n", q.P50*1000, q.P95*1000, q.P99*1000)
+		fmt.Printf("  compute ms: p50=%7.2f  p95=%7.2f  p99=%7.2f\n", c.P50*1000, c.P95*1000, c.P99*1000)
 	}
 	// Every infer response also carries its own per-stage breakdown
 	// (timings_ms), so a single request can be diagnosed without
@@ -201,9 +200,9 @@ func overloadDemo(srv *serve.Server, baseURL string) {
 	}
 	fmt.Printf("server counters: requests=%d shed=%d expired=%d\n", m.Requests, m.Shed, m.Expired)
 	for _, class := range []string{"realtime", "online", "offline"} {
-		if q, ok := m.ClassQueueLatency[class]; ok {
+		if q, ok := m.ClassQueueHist[class]; ok {
 			fmt.Printf("  queue ms [%-8s]: p50=%7.2f  p99=%7.2f  (n=%d)\n",
-				class, q.P50*1000, q.P99*1000, q.N)
+				class, q.Quantile(50)*1000, q.Quantile(99)*1000, q.Count)
 		}
 	}
 	fmt.Println("\nthe bounded queue fails excess load fast instead of letting latency grow")

@@ -253,7 +253,7 @@ func (c *Controller) tick() {
 	defer cancel()
 	m := c.router.Metrics(ctx)
 
-	var mm *serve.ModelMetricsJSON
+	var mm *serve.ModelMetrics
 	for i := range m.Models {
 		if m.Models[i].Model == c.cfg.Model {
 			mm = &m.Models[i]
@@ -273,8 +273,8 @@ func (c *Controller) tick() {
 		// Everything that arrived: completions, rejections, evictions.
 		cum = float64(mm.Requests + mm.Errors + mm.Cancelled + mm.Shed + mm.Expired)
 		queueDepth = mm.QueueDepth
-		if sum, ok := mm.QueueMsByClass[c.cfg.SLOClass]; ok {
-			curHist = sum.Buckets
+		if h, ok := mm.ClassQueueHist[c.cfg.SLOClass]; ok {
+			curHist = h.Counts
 			att = attainment(lastHist, curHist, c.cfg.SLO)
 		}
 	}

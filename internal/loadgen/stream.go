@@ -521,7 +521,7 @@ func StartEdgeCloud(cfg EdgeCloudConfig) (*EdgeCloud, error) {
 		return nil, err
 	}
 	ec.Ingest = ing
-	edge.AddMetricsExtension("stream", ing.MetricsJSON, ing.WriteProm)
+	edge.AddMetricsExtension(stream.MetricsExtension, func() any { return ing.Metrics() })
 	mux := http.NewServeMux()
 	mux.Handle("/v2/streams/", ing.Handler())
 	mux.Handle("/", edge.Handler())

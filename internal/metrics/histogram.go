@@ -1,6 +1,8 @@
 package metrics
 
 import (
+	"encoding/json"
+	"fmt"
 	"math"
 	"sync/atomic"
 
@@ -129,6 +131,10 @@ func loadExtreme(bits *atomic.Uint64) float64 {
 // a fleet's latency distribution is reconstructed losslessly from
 // per-replica snapshots — the fix for the router's old count-weighted
 // mean of percentiles, which is not a percentile of anything.
+//
+// On the wire a snapshot is a millisecond summary (see MarshalJSON)
+// that still carries its buckets, sum and extremes, so a decoded
+// snapshot merges exactly again.
 type HistogramSnapshot struct {
 	// Count is the number of observations (the sum of Counts).
 	Count uint64
@@ -250,4 +256,75 @@ func (s HistogramSnapshot) Summary() stats.Summary {
 	out.P95 = s.Quantile(95)
 	out.P99 = s.Quantile(99)
 	return out
+}
+
+// histogramJSON is the wire form of a HistogramSnapshot: millisecond
+// summary fields for readers, plus the buckets, sum and extremes an
+// aggregator needs to merge exactly. Only the latter are decoded; the
+// percentiles and mean are derived.
+type histogramJSON struct {
+	Count   uint64   `json:"count"`
+	MeanMs  float64  `json:"mean_ms"`
+	P50Ms   float64  `json:"p50_ms"`
+	P95Ms   float64  `json:"p95_ms"`
+	P99Ms   float64  `json:"p99_ms"`
+	SumMs   float64  `json:"sum_ms"`
+	MinMs   float64  `json:"min_ms"`
+	MaxMs   float64  `json:"max_ms"`
+	Buckets []uint64 `json:"buckets,omitempty"`
+}
+
+// MarshalJSON encodes the snapshot as {count, mean_ms, p50_ms, p95_ms,
+// p99_ms, sum_ms, min_ms, max_ms, buckets}; buckets are omitted while
+// the histogram is empty.
+func (s HistogramSnapshot) MarshalJSON() ([]byte, error) {
+	sum := s.Summary()
+	j := histogramJSON{
+		Count:  s.Count,
+		MeanMs: sum.Mean * 1000,
+		P50Ms:  sum.P50 * 1000,
+		P95Ms:  sum.P95 * 1000,
+		P99Ms:  sum.P99 * 1000,
+		SumMs:  s.Sum * 1000,
+		MinMs:  s.Min * 1000,
+		MaxMs:  s.Max * 1000,
+	}
+	if s.Count > 0 {
+		j.Buckets = s.Counts
+	}
+	return json.Marshal(j)
+}
+
+// UnmarshalJSON decodes the MarshalJSON form. The router reads it from
+// replicas over the network, so it is validated: buckets must be absent
+// (an empty histogram) or exactly NumLatencyBuckets long, count must be
+// their sum, and sum and extremes must not be negative. A decoded
+// snapshot always has NumLatencyBuckets counts, and re-encodes to
+// itself: a float that is x/1000 survives *1000 then /1000.
+func (s *HistogramSnapshot) UnmarshalJSON(b []byte) error {
+	var j histogramJSON
+	if err := json.Unmarshal(b, &j); err != nil {
+		return err
+	}
+	out := HistogramSnapshot{Counts: j.Buckets, Sum: j.SumMs / 1000, Min: j.MinMs / 1000, Max: j.MaxMs / 1000}
+	switch {
+	case len(j.Buckets) == 0 && j.Count == 0:
+		out.Counts = make([]uint64, NumLatencyBuckets)
+	case len(j.Buckets) != NumLatencyBuckets:
+		return fmt.Errorf("metrics: histogram has %d buckets, want %d", len(j.Buckets), NumLatencyBuckets)
+	}
+	for _, c := range out.Counts {
+		if out.Count+c < out.Count {
+			return fmt.Errorf("metrics: histogram bucket counts overflow")
+		}
+		out.Count += c
+	}
+	if out.Count != j.Count {
+		return fmt.Errorf("metrics: histogram count %d, buckets sum to %d", j.Count, out.Count)
+	}
+	if j.SumMs < 0 || j.MinMs < 0 || j.MaxMs < 0 {
+		return fmt.Errorf("metrics: negative latency in histogram")
+	}
+	*s = out
+	return nil
 }

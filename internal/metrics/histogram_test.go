@@ -210,12 +210,16 @@ func TestPromExposition(t *testing.T) {
 	r.Observe(0.002)
 	r.Observe(0.004)
 	r.Observe(2.5)
+	type model struct {
+		Name    string            `label:"model"`
+		Queue   HistogramSnapshot `prom:"harvest_queue_latency_seconds,histogram,queue wait"`
+		ByClass map[string]int64  `prom:"harvest_requests_total,counter,served" label:"class"`
+	}
 	var b strings.Builder
-	pw := PromWriter{W: &b}
-	pw.Head("harvest_queue_latency_seconds", "histogram", "queue wait")
-	pw.Hist("harvest_queue_latency_seconds", PromLabel("model", `Vi"T`), r.Snapshot())
-	pw.Head("harvest_requests_total", "counter", "served")
-	pw.Int("harvest_requests_total", PromLabels(PromLabel("model", "ViT"), PromLabel("class", "online")), 7)
+	WriteProm(&b, []model{
+		{Name: `Vi"T`, Queue: r.Snapshot()},
+		{Name: "ViT", ByClass: map[string]int64{"online": 7}},
+	})
 	out := b.String()
 	for _, want := range []string{
 		"# TYPE harvest_queue_latency_seconds histogram",
@@ -230,7 +234,7 @@ func TestPromExposition(t *testing.T) {
 	// Cumulative buckets are monotone non-decreasing and end at count.
 	lastCum := int64(-1)
 	for _, line := range strings.Split(out, "\n") {
-		if !strings.HasPrefix(line, "harvest_queue_latency_seconds_bucket") {
+		if !strings.HasPrefix(line, `harvest_queue_latency_seconds_bucket{model="Vi\"T"`) {
 			continue
 		}
 		sp := strings.LastIndexByte(line, ' ')

@@ -259,8 +259,8 @@ func (c *Client) Models(ctx context.Context) ([]string, error) {
 }
 
 // Stats fetches a model's serving statistics.
-func (c *Client) Stats(ctx context.Context, model string) (*StatsJSON, error) {
-	var out StatsJSON
+func (c *Client) Stats(ctx context.Context, model string) (*Stats, error) {
+	var out Stats
 	if err := c.getJSON(ctx, "/v2/models/"+model+"/stats", &out); err != nil {
 		return nil, err
 	}

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -139,9 +140,20 @@ func TestStatsEndpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// requests_served is the deprecated wire alias for items served.
-	if st.RequestsServed != 6 {
-		t.Errorf("stats served %d items (deprecated field), want 6", st.RequestsServed)
+	// Image counts travel as items_served only: the requests_served
+	// alias, which carried items under a request name, is gone.
+	raw, err := http.Get(ts.URL + "/v2/models/" + models.NameViTTiny + "/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wire map[string]any
+	err = json.NewDecoder(raw.Body).Decode(&wire)
+	raw.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := wire["requests_served"]; ok || wire["items_served"] != 6.0 {
+		t.Errorf("stats wire body %v, want items_served 6 and no requests_served", wire)
 	}
 	if st.ItemsServed != 6 {
 		t.Errorf("stats served %d items, want 6", st.ItemsServed)

@@ -9,6 +9,7 @@ import (
 
 	"harvest/internal/engine"
 	"harvest/internal/hw"
+	"harvest/internal/metrics"
 	"harvest/internal/models"
 	"harvest/internal/stats"
 )
@@ -42,7 +43,7 @@ func TestMetricsEndpointReconcilesWithStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Model != st.Model || m.Requests != st.RequestsServed ||
+	if m.Model != st.Model || m.Requests != st.Requests ||
 		m.Items != st.ItemsServed || m.Batches != st.BatchesRun {
 		t.Errorf("metrics %+v do not reconcile with stats %+v", m, st)
 	}
@@ -52,16 +53,16 @@ func TestMetricsEndpointReconcilesWithStats(t *testing.T) {
 	if m.Errors != 0 || m.Cancelled != 0 || m.QueueDepth != 0 {
 		t.Errorf("unexpected failure counters in %+v", m)
 	}
-	if m.QueueMs.Count != n || m.ComputeMs.Count != int(m.Batches) {
+	if m.QueueHist.Count != n || m.ComputeHist.Count != uint64(m.Batches) {
 		t.Errorf("latency sample counts %+v", m)
 	}
-	for _, l := range []LatencySummaryJSON{m.QueueMs, m.ComputeMs} {
-		if l.P50Ms > l.P95Ms || l.P95Ms > l.P99Ms || l.P99Ms > l.MaxMs {
+	for _, h := range []metrics.HistogramSnapshot{m.QueueHist, m.ComputeHist} {
+		if l := h.Summary(); l.P50 > l.P95 || l.P95 > l.P99 || l.P99 > l.Max {
 			t.Errorf("percentiles out of order: %+v", l)
 		}
 	}
-	if m.ComputeMs.P50Ms <= 0 {
-		t.Errorf("compute p50 %v, want > 0", m.ComputeMs.P50Ms)
+	if p50 := m.ComputeHist.Quantile(50); p50 <= 0 {
+		t.Errorf("compute p50 %v, want > 0", p50)
 	}
 }
 
@@ -97,10 +98,10 @@ func TestQueueTimeExcludesRealComputeTime(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := m.ComputeLatency.P50; got < delay.Seconds() {
+	if got := m.ComputeHist.Quantile(50); got < delay.Seconds() {
 		t.Errorf("measured compute p50 %.1f ms, want >= %.0f ms", got*1000, delay.Seconds()*1000)
 	}
-	if got := m.QueueLatency.P50; got >= delay.Seconds()/2 {
+	if got := m.QueueHist.Quantile(50); got >= delay.Seconds()/2 {
 		t.Errorf("queue latency p50 %.1f ms includes compute", got*1000)
 	}
 }

@@ -138,6 +138,9 @@ func TestServerPrometheusEndpoint(t *testing.T) {
 			t.Errorf("exposition missing %q", want)
 		}
 	}
+	if err := metrics.LintExposition(out); err != nil {
+		t.Errorf("exposition lint: %v", err)
+	}
 }
 
 func TestServerTraceEndpoint(t *testing.T) {
@@ -278,10 +281,10 @@ func TestRouterMergesPercentilesExactly(t *testing.T) {
 	observeN(&combined, 100, 1.0)
 
 	mkMetrics := func(r *metrics.LatencyRecorder, n int64) MetricsJSON {
-		return MetricsJSON{Models: []ModelMetricsJSON{{
-			Model:    models.NameViTTiny,
-			Requests: n,
-			QueueMs:  histToJSON(r.Snapshot()),
+		return MetricsJSON{Models: []ModelMetrics{{
+			Model:     models.NameViTTiny,
+			Requests:  n,
+			QueueHist: r.Snapshot(),
 		}}}
 	}
 	fastRep := fakeReplica(t, mkMetrics(&fast, 900))
@@ -297,17 +300,17 @@ func TestRouterMergesPercentilesExactly(t *testing.T) {
 	if len(agg.Models) != 1 {
 		t.Fatalf("aggregated models: %+v", agg.Models)
 	}
-	got := agg.Models[0].QueueMs
+	got := agg.Models[0].QueueHist
 	exact := combined.Snapshot()
 	wantP99 := exact.Quantile(99) * 1000
-	if got.P99Ms != wantP99 {
-		t.Errorf("merged p99 %v ms, want exact %v ms", got.P99Ms, wantP99)
+	if p99 := got.Quantile(99) * 1000; p99 != wantP99 {
+		t.Errorf("merged p99 %v ms, want exact %v ms", p99, wantP99)
 	}
 	if got.Count != 1000 {
 		t.Errorf("merged count %d, want 1000", got.Count)
 	}
-	if got.MaxMs != exact.Max*1000 || got.MinMs != exact.Min*1000 {
-		t.Errorf("merged extremes [%v, %v] ms, want [%v, %v]", got.MinMs, got.MaxMs, exact.Min*1000, exact.Max*1000)
+	if got.Max != exact.Max || got.Min != exact.Min {
+		t.Errorf("merged extremes [%v, %v] s, want [%v, %v]", got.Min, got.Max, exact.Min, exact.Max)
 	}
 	// The true merged p99 sits in the slow second: the weighted-mean
 	// answer (~0.9*1ms + 0.1*1000ms ≈ 100ms) must be far from it.
@@ -322,8 +325,8 @@ func TestRouterMergesPercentilesExactly(t *testing.T) {
 	}
 	// Buckets survive the merge, so a second aggregation tier (router
 	// of routers) could merge exactly again.
-	if len(got.Buckets) != metrics.NumLatencyBuckets {
-		t.Errorf("merged summary lost its buckets: %d", len(got.Buckets))
+	if len(got.Counts) != metrics.NumLatencyBuckets {
+		t.Errorf("merged summary lost its buckets: %d", len(got.Counts))
 	}
 }
 
@@ -364,6 +367,9 @@ func TestRouterPrometheusEndpoint(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("router exposition missing %q", want)
 		}
+	}
+	if err := metrics.LintExposition(out); err != nil {
+		t.Errorf("router exposition lint: %v", err)
 	}
 }
 

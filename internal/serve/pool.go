@@ -198,18 +198,19 @@ func (rep *Replica) halfOpenDue() bool {
 		time.Now().UnixNano() >= rep.ejectedUntil.Load()
 }
 
-// ReplicaStatus is a point-in-time snapshot of one replica.
+// ReplicaStatus is a point-in-time snapshot of one replica, and its
+// entry in the router section of GET /v2/metrics and GET /metrics.
 type ReplicaStatus struct {
-	Name              string
-	URL               string
-	Healthy           bool
-	Draining          bool
-	ConsecutiveErrors int
-	Ejections         int64
-	Inflight          int64
+	Name              string `json:"name" label:"replica"`
+	URL               string `json:"url"`
+	Healthy           bool   `json:"healthy" prom:"harvest_replica_healthy,gauge,1 if the replica is in rotation, 0 if ejected."`
+	Draining          bool   `json:"draining,omitempty"`
+	ConsecutiveErrors int    `json:"consecutive_errors"`
+	Ejections         int64  `json:"ejections" prom:"harvest_replica_ejections_total,counter,Times the replica was ejected from rotation."`
+	Inflight          int64  `json:"inflight" prom:"harvest_replica_inflight,gauge,Router-proxied requests currently on the replica."`
 	// QueueDepth sums the replica's last-reported per-model admission
 	// queue depths (-1 when no metrics snapshot has been fetched yet).
-	QueueDepth int64
+	QueueDepth int64 `json:"queue_depth" prom:"harvest_replica_queue_depth,gauge,Replica-reported total admission queue depth."`
 }
 
 func (rep *Replica) status() ReplicaStatus {

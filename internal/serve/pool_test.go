@@ -65,7 +65,7 @@ func TestPoolScoreStaleMetricsFallback(t *testing.T) {
 			http.Error(w, "metrics collector wedged", http.StatusInternalServerError)
 			return
 		}
-		_ = json.NewEncoder(w).Encode(MetricsJSON{Models: []ModelMetricsJSON{
+		_ = json.NewEncoder(w).Encode(MetricsJSON{Models: []ModelMetrics{
 			{Model: models.NameViTTiny, QueueDepth: deepQueue},
 		}})
 	})

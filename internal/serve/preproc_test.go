@@ -99,8 +99,8 @@ func TestEncodedImageMatchesTensorPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.PreprocessLatency.N != 1 {
-		t.Errorf("preprocess latency count %d, want 1", m.PreprocessLatency.N)
+	if m.PreprocessHist.Count != 1 {
+		t.Errorf("preprocess latency count %d, want 1", m.PreprocessHist.Count)
 	}
 }
 
@@ -152,11 +152,11 @@ func TestEncodedImageOverHTTP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(mj.Models) != 1 || mj.Models[0].PreprocessMs.Count != 1 {
+	if len(mj.Models) != 1 || mj.Models[0].PreprocessHist.Count != 1 {
 		t.Errorf("/v2/metrics preprocess count: %+v", mj.Models)
 	}
-	if mj.Models[0].PreprocessMs.MaxMs <= 0 {
-		t.Errorf("/v2/metrics preprocess max %v", mj.Models[0].PreprocessMs.MaxMs)
+	if mj.Models[0].PreprocessHist.Max <= 0 {
+		t.Errorf("/v2/metrics preprocess max %v", mj.Models[0].PreprocessHist.Max)
 	}
 
 	prom, err := http.Get(ts.URL + "/metrics")

@@ -13,6 +13,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"maps"
 	"net/http"
 	"sort"
 	"strconv"
@@ -416,51 +417,40 @@ func (r *Router) Models(ctx context.Context) ([]string, error) {
 	return out, nil
 }
 
-// RouterReplicaJSON is one replica's entry in the router section of
-// GET /v2/metrics.
-type RouterReplicaJSON struct {
-	Name              string `json:"name"`
-	URL               string `json:"url"`
-	Healthy           bool   `json:"healthy"`
-	Draining          bool   `json:"draining,omitempty"`
-	ConsecutiveErrors int    `json:"consecutive_errors"`
-	Ejections         int64  `json:"ejections"`
-	Inflight          int64  `json:"inflight"`
-	QueueDepth        int64  `json:"queue_depth"`
-}
-
-// RouterJSON is the router section of GET /v2/metrics.
+// RouterJSON is the router section of GET /v2/metrics and its
+// GET /metrics families.
 type RouterJSON struct {
-	Requests         int64               `json:"requests"`
-	Errors           int64               `json:"errors"`
-	Failovers        int64               `json:"failovers"`
-	Spills           int64               `json:"spills"`
-	QuotaRejects     int64               `json:"quota_rejects,omitempty"`
-	Streams          int64               `json:"streams"`
-	HealthyReplicas  int                 `json:"healthy_replicas"`
-	LatencyMs        LatencySummaryJSON  `json:"latency_ms"`
-	RequestsByTenant map[string]int64    `json:"requests_by_tenant,omitempty"`
-	ShedByTenant     map[string]int64    `json:"shed_by_tenant,omitempty"`
-	Replicas         []RouterReplicaJSON `json:"replicas"`
+	Requests        int64                     `json:"requests" prom:"harvest_router_requests_total,counter,Proxied requests answered successfully."`
+	Errors          int64                     `json:"errors" prom:"harvest_router_errors_total,counter,Proxied requests that ultimately failed."`
+	Failovers       int64                     `json:"failovers" prom:"harvest_router_failovers_total,counter,Replica faults that moved a request to another replica."`
+	Spills          int64                     `json:"spills" prom:"harvest_router_spills_total,counter,Overload rejections that moved a request to another replica."`
+	QuotaRejects    int64                     `json:"quota_rejects,omitempty" prom:"harvest_router_quota_rejects_total,counter,Requests refused by the router-level tenant quota."`
+	Streams         int64                     `json:"streams" prom:"harvest_router_streams_total,counter,Camera ingest streams proxied to a replica."`
+	HealthyReplicas int                       `json:"healthy_replicas"`
+	Latency         metrics.HistogramSnapshot `json:"latency_ms" prom:"harvest_router_latency_seconds,histogram,End-to-end latency of successfully routed requests."`
+	// RequestsByTenant and ShedByTenant count routed requests and
+	// router-quota rejections per tenant.
+	RequestsByTenant map[string]int64 `json:"requests_by_tenant,omitempty" prom:"harvest_router_tenant_requests_total,counter,Successfully routed requests per tenant." label:"tenant"`
+	ShedByTenant     map[string]int64 `json:"shed_by_tenant,omitempty" prom:"harvest_router_tenant_shed_total,counter,Router-quota rejections per tenant." label:"tenant"`
+	Replicas         []ReplicaStatus  `json:"replicas"`
 }
 
-// RouterMetricsJSON is the router's GET /v2/metrics body: the models
-// section aggregates every replica's per-model metrics (so
-// serve.Client.Metrics decodes it unchanged), and the router section
-// adds routing and per-replica health detail.
+// RouterMetricsJSON is the router's GET /v2/metrics body and GET
+// /metrics snapshot: the replicas' metrics merged fleet-wide (so
+// serve.Client.Metrics decodes it unchanged), plus the router section
+// with routing and per-replica health detail.
 type RouterMetricsJSON struct {
-	Models []ModelMetricsJSON `json:"models"`
-	Router RouterJSON         `json:"router"`
+	MetricsJSON
+	Router RouterJSON `json:"router"`
 }
 
-// Metrics aggregates per-model metrics across replicas: counters and
-// queue depths are summed; latency summaries are merged with
-// count-weighted means (percentiles included — an approximation, since
-// exact quantile merging would need the raw histograms over the wire)
-// and max-of-max.
+// Metrics fetches every replica's metrics (falling back to the last
+// snapshot for unhealthy ones) and folds them with metrics.Merge:
+// counters and queue depths sum, and latency histograms — per model,
+// class and tenant, and in extension blocks such as the stream ingest
+// tier's — merge bucket-wise, so fleet-wide percentiles are exact.
 func (r *Router) Metrics(ctx context.Context) RouterMetricsJSON {
-	byModel := map[string]*ModelMetricsJSON{}
-	var order []string
+	var out RouterMetricsJSON
 	for _, rep := range r.pool.Replicas() {
 		m := rep.metrics.Load()
 		if rep.Healthy() {
@@ -469,160 +459,36 @@ func (r *Router) Metrics(ctx context.Context) RouterMetricsJSON {
 				m = fresh
 			}
 		}
-		if m == nil {
-			continue
-		}
-		for _, mm := range m.Models {
-			agg, ok := byModel[mm.Model]
-			if !ok {
-				cp := mm
-				cp.QueueMsByClass = nil
-				cp.Tenants = nil
-				byModel[mm.Model] = &cp
-				order = append(order, mm.Model)
-				agg = byModel[mm.Model]
-				agg.QueueMs = mm.QueueMs
-				agg.ComputeMs = mm.ComputeMs
-				for class, sum := range mm.QueueMsByClass {
-					if agg.QueueMsByClass == nil {
-						agg.QueueMsByClass = map[string]LatencySummaryJSON{}
-					}
-					agg.QueueMsByClass[class] = sum
-				}
-				mergeTenantMetrics(agg, mm.Tenants)
-				continue
-			}
-			agg.Requests += mm.Requests
-			agg.Items += mm.Items
-			agg.Batches += mm.Batches
-			agg.Errors += mm.Errors
-			agg.Cancelled += mm.Cancelled
-			agg.Shed += mm.Shed
-			agg.Expired += mm.Expired
-			agg.QueueDepth += mm.QueueDepth
-			agg.QueueMs = mergeLatency(agg.QueueMs, mm.QueueMs)
-			agg.ComputeMs = mergeLatency(agg.ComputeMs, mm.ComputeMs)
-			agg.PreprocessMs = mergeLatency(agg.PreprocessMs, mm.PreprocessMs)
-			for class, sum := range mm.QueueMsByClass {
-				if agg.QueueMsByClass == nil {
-					agg.QueueMsByClass = map[string]LatencySummaryJSON{}
-				}
-				agg.QueueMsByClass[class] = mergeLatency(agg.QueueMsByClass[class], sum)
-			}
-			mergeTenantMetrics(agg, mm.Tenants)
+		if m != nil {
+			metrics.Merge(&out.MetricsJSON, *m)
 		}
 	}
-	sort.Strings(order)
-	out := RouterMetricsJSON{
-		Router: RouterJSON{
-			Requests:        r.met.requests.Load(),
-			Errors:          r.met.errors.Load(),
-			Failovers:       r.met.failovers.Load(),
-			Spills:          r.met.spills.Load(),
-			QuotaRejects:    r.met.quotaShed.Load(),
-			Streams:         r.met.streams.Load(),
-			HealthyReplicas: r.pool.HealthyCount(),
-			LatencyMs:       histToJSON(r.met.latency.Snapshot()),
-		},
+	sort.Slice(out.Models, func(i, j int) bool { return out.Models[i].Model < out.Models[j].Model })
+	if r.trace != nil {
+		dropped := int64(r.trace.Dropped())
+		out.TraceSpansDropped = &dropped
+	}
+	out.Router = RouterJSON{
+		Requests:        r.met.requests.Load(),
+		Errors:          r.met.errors.Load(),
+		Failovers:       r.met.failovers.Load(),
+		Spills:          r.met.spills.Load(),
+		QuotaRejects:    r.met.quotaShed.Load(),
+		Streams:         r.met.streams.Load(),
+		HealthyReplicas: r.pool.HealthyCount(),
+		Latency:         r.met.latency.Snapshot(),
+		Replicas:        r.pool.Status(),
 	}
 	r.tmu.Lock()
-	if len(r.tenantReqs) > 0 {
-		out.Router.RequestsByTenant = make(map[string]int64, len(r.tenantReqs))
-		for tenant, n := range r.tenantReqs {
-			out.Router.RequestsByTenant[tenant] = n
-		}
-	}
-	if len(r.tenantShed) > 0 {
-		out.Router.ShedByTenant = make(map[string]int64, len(r.tenantShed))
-		for tenant, n := range r.tenantShed {
-			out.Router.ShedByTenant[tenant] = n
-		}
-	}
+	out.Router.RequestsByTenant = maps.Clone(r.tenantReqs)
+	out.Router.ShedByTenant = maps.Clone(r.tenantShed)
 	r.tmu.Unlock()
-	for _, name := range order {
-		out.Models = append(out.Models, *byModel[name])
-	}
-	for _, st := range r.pool.Status() {
-		out.Router.Replicas = append(out.Router.Replicas, RouterReplicaJSON{
-			Name:              st.Name,
-			URL:               st.URL,
-			Healthy:           st.Healthy,
-			Draining:          st.Draining,
-			ConsecutiveErrors: st.ConsecutiveErrors,
-			Ejections:         st.Ejections,
-			Inflight:          st.Inflight,
-			QueueDepth:        st.QueueDepth,
-		})
-	}
-	return out
-}
-
-// mergeTenantMetrics folds one replica's per-tenant metrics block into
-// the fleet aggregate for a model: counters and queue depths sum,
-// queue-latency summaries merge like every other histogram.
-func mergeTenantMetrics(agg *ModelMetricsJSON, tenants map[string]TenantMetricsJSON) {
-	if len(tenants) == 0 {
-		return
-	}
-	if agg.Tenants == nil {
-		agg.Tenants = make(map[string]TenantMetricsJSON, len(tenants))
-	}
-	for tenant, tm := range tenants {
-		cur := agg.Tenants[tenant]
-		cur.Requests += tm.Requests
-		cur.Items += tm.Items
-		cur.Shed += tm.Shed
-		cur.Expired += tm.Expired
-		cur.QueueDepth += tm.QueueDepth
-		cur.QueueMs = mergeLatency(cur.QueueMs, tm.QueueMs)
-		agg.Tenants[tenant] = cur
-	}
-}
-
-// mergeLatency folds two latency summaries. When both carry their
-// histogram buckets (shared layout), the merge is exact: bucket counts
-// add element-wise and the merged percentiles are recomputed from the
-// merged distribution. Only when a peer predates histogram shipping
-// does the merge degrade to the legacy count-weighted mean of
-// percentiles — which is an approximation, not a percentile of the
-// merged distribution (a count-weighted mean of two p99s can sit far
-// below the true merged p99 when replicas have skewed tails).
-func mergeLatency(a, b LatencySummaryJSON) LatencySummaryJSON {
-	if a.Count == 0 {
-		return b
-	}
-	if b.Count == 0 {
-		return a
-	}
-	if ha, ok := histFromJSON(a); ok {
-		if hb, ok := histFromJSON(b); ok {
-			return histToJSON(ha.Merge(hb))
-		}
-	}
-	n := a.Count + b.Count
-	wa, wb := float64(a.Count)/float64(n), float64(b.Count)/float64(n)
-	out := LatencySummaryJSON{
-		Count:  n,
-		MeanMs: wa*a.MeanMs + wb*b.MeanMs,
-		P50Ms:  wa*a.P50Ms + wb*b.P50Ms,
-		P95Ms:  wa*a.P95Ms + wb*b.P95Ms,
-		P99Ms:  wa*a.P99Ms + wb*b.P99Ms,
-		SumMs:  a.SumMs + b.SumMs,
-		MinMs:  a.MinMs,
-		MaxMs:  a.MaxMs,
-	}
-	if b.MinMs > 0 && (out.MinMs == 0 || b.MinMs < out.MinMs) {
-		out.MinMs = b.MinMs
-	}
-	if b.MaxMs > out.MaxMs {
-		out.MaxMs = b.MaxMs
-	}
 	return out
 }
 
 // Stats aggregates one model's stats across replicas.
-func (r *Router) Stats(ctx context.Context, model string) (StatsJSON, error) {
-	out := StatsJSON{Model: model}
+func (r *Router) Stats(ctx context.Context, model string) (Stats, error) {
+	out := Stats{Model: model}
 	var fill float64
 	found := false
 	var lastErr error
@@ -636,7 +502,6 @@ func (r *Router) Stats(ctx context.Context, model string) (StatsJSON, error) {
 			continue
 		}
 		found = true
-		out.RequestsServed += st.RequestsServed
 		out.Requests += st.Requests
 		out.ItemsServed += st.ItemsServed
 		out.BatchesRun += st.BatchesRun
@@ -644,9 +509,9 @@ func (r *Router) Stats(ctx context.Context, model string) (StatsJSON, error) {
 	}
 	if !found {
 		if lastErr != nil {
-			return StatsJSON{}, lastErr
+			return Stats{}, lastErr
 		}
-		return StatsJSON{}, ErrNoReplicas
+		return Stats{}, ErrNoReplicas
 	}
 	if out.BatchesRun > 0 {
 		out.MeanBatchFill = fill / float64(out.BatchesRun)
@@ -693,7 +558,7 @@ func (r *Router) Handler() http.Handler {
 	})
 	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, req *http.Request) {
 		w.Header().Set("Content-Type", metrics.PromContentType)
-		r.writeProm(w, req.Context())
+		metrics.WriteProm(w, r.Metrics(req.Context()))
 	})
 	mux.HandleFunc("GET /v2/models/", func(w http.ResponseWriter, req *http.Request) {
 		name, ok := cutModelAction(req.URL.Path, "stats")
@@ -760,102 +625,6 @@ func (r *Router) Handler() http.Handler {
 	})
 	mux.HandleFunc("POST /v2/streams/{camera}", r.handleStreamProxy)
 	return mux
-}
-
-// writeProm writes the router's Prometheus text exposition: routing
-// counters, the end-to-end routed latency histogram, per-replica
-// health gauges, and the per-model latency histograms merged exactly
-// across replicas.
-func (r *Router) writeProm(w http.ResponseWriter, ctx context.Context) {
-	pw := metrics.PromWriter{W: w}
-	pw.Head("harvest_router_requests_total", "counter", "Proxied requests answered successfully.")
-	pw.Int("harvest_router_requests_total", "", r.met.requests.Load())
-	pw.Head("harvest_router_errors_total", "counter", "Proxied requests that ultimately failed.")
-	pw.Int("harvest_router_errors_total", "", r.met.errors.Load())
-	pw.Head("harvest_router_failovers_total", "counter", "Replica faults that moved a request to another replica.")
-	pw.Int("harvest_router_failovers_total", "", r.met.failovers.Load())
-	pw.Head("harvest_router_spills_total", "counter", "Overload rejections that moved a request to another replica.")
-	pw.Int("harvest_router_spills_total", "", r.met.spills.Load())
-	pw.Head("harvest_router_quota_rejects_total", "counter", "Requests refused by the router-level tenant quota.")
-	pw.Int("harvest_router_quota_rejects_total", "", r.met.quotaShed.Load())
-	pw.Head("harvest_router_streams_total", "counter", "Camera ingest streams proxied to a replica.")
-	pw.Int("harvest_router_streams_total", "", r.met.streams.Load())
-	pw.Head("harvest_router_latency_seconds", "histogram", "End-to-end latency of successfully routed requests.")
-	pw.Hist("harvest_router_latency_seconds", "", r.met.latency.Snapshot())
-
-	r.tmu.Lock()
-	tenants := make([]string, 0, len(r.tenantReqs))
-	for tenant := range r.tenantReqs {
-		tenants = append(tenants, tenant)
-	}
-	sort.Strings(tenants)
-	if len(tenants) > 0 {
-		pw.Head("harvest_router_tenant_requests_total", "counter", "Successfully routed requests per tenant.")
-		for _, tenant := range tenants {
-			pw.Int("harvest_router_tenant_requests_total", metrics.PromLabel("tenant", tenant), r.tenantReqs[tenant])
-		}
-	}
-	shedTenants := make([]string, 0, len(r.tenantShed))
-	for tenant := range r.tenantShed {
-		shedTenants = append(shedTenants, tenant)
-	}
-	sort.Strings(shedTenants)
-	if len(shedTenants) > 0 {
-		pw.Head("harvest_router_tenant_shed_total", "counter", "Router-quota rejections per tenant.")
-		for _, tenant := range shedTenants {
-			pw.Int("harvest_router_tenant_shed_total", metrics.PromLabel("tenant", tenant), r.tenantShed[tenant])
-		}
-	}
-	r.tmu.Unlock()
-
-	pw.Head("harvest_replica_healthy", "gauge", "1 if the replica is in rotation, 0 if ejected.")
-	status := r.pool.Status()
-	for _, st := range status {
-		v := int64(0)
-		if st.Healthy {
-			v = 1
-		}
-		pw.Int("harvest_replica_healthy", metrics.PromLabel("replica", st.Name), v)
-	}
-	pw.Head("harvest_replica_inflight", "gauge", "Router-proxied requests currently on the replica.")
-	for _, st := range status {
-		pw.Int("harvest_replica_inflight", metrics.PromLabel("replica", st.Name), st.Inflight)
-	}
-	pw.Head("harvest_replica_queue_depth", "gauge", "Replica-reported total admission queue depth.")
-	for _, st := range status {
-		pw.Int("harvest_replica_queue_depth", metrics.PromLabel("replica", st.Name), st.QueueDepth)
-	}
-	pw.Head("harvest_replica_ejections_total", "counter", "Times the replica was ejected from rotation.")
-	for _, st := range status {
-		pw.Int("harvest_replica_ejections_total", metrics.PromLabel("replica", st.Name), st.Ejections)
-	}
-
-	// Per-model latency across the fleet, merged exactly from replica
-	// histograms (weighted-mean fallback summaries carry no buckets and
-	// are skipped here rather than exposed as a fake distribution).
-	agg := r.Metrics(ctx)
-	pw.Head("harvest_queue_latency_seconds", "histogram", "Fleet-wide queue latency, merged across replicas.")
-	for _, m := range agg.Models {
-		if h, ok := histFromJSON(m.QueueMs); ok {
-			pw.Hist("harvest_queue_latency_seconds", metrics.PromLabel("model", m.Model), h)
-		}
-	}
-	pw.Head("harvest_compute_latency_seconds", "histogram", "Fleet-wide compute latency, merged across replicas.")
-	for _, m := range agg.Models {
-		if h, ok := histFromJSON(m.ComputeMs); ok {
-			pw.Hist("harvest_compute_latency_seconds", metrics.PromLabel("model", m.Model), h)
-		}
-	}
-	pw.Head("harvest_preprocess_latency_seconds", "histogram", "Fleet-wide preprocess latency, merged across replicas.")
-	for _, m := range agg.Models {
-		if h, ok := histFromJSON(m.PreprocessMs); ok && h.Count > 0 {
-			pw.Hist("harvest_preprocess_latency_seconds", metrics.PromLabel("model", m.Model), h)
-		}
-	}
-	if r.trace != nil {
-		pw.Head("harvest_trace_spans_dropped_total", "counter", "Trace spans evicted from the ring buffer.")
-		pw.Int("harvest_trace_spans_dropped_total", "", int64(r.trace.Dropped()))
-	}
 }
 
 // cutModelAction parses /v2/models/{name}/{action} paths.

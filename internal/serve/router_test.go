@@ -276,7 +276,7 @@ func TestRouterClassPlacement(t *testing.T) {
 	if len(met.Models) != 1 {
 		t.Fatalf("aggregated models %d, want 1", len(met.Models))
 	}
-	byClass := met.Models[0].QueueMsByClass
+	byClass := met.Models[0].ClassQueueHist
 	if byClass["realtime"].Count != 1 {
 		t.Errorf("realtime lane count %d through router, want 1", byClass["realtime"].Count)
 	}

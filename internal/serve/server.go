@@ -19,7 +19,6 @@ import (
 	"harvest/internal/imaging"
 	"harvest/internal/metrics"
 	"harvest/internal/preprocess"
-	"harvest/internal/stats"
 	"harvest/internal/trace"
 )
 
@@ -318,41 +317,34 @@ type modelMetrics struct {
 }
 
 // ModelMetrics is a point-in-time snapshot of a model's serving
-// metrics. Latency summaries are in seconds.
+// metrics: the Go API, the model's entry in GET /v2/metrics and, through
+// its prom tags, its GET /metrics families. Histograms are in seconds
+// and travel as millisecond summaries.
 type ModelMetrics struct {
-	Model     string
-	Requests  int64
-	Items     int64
-	Batches   int64
-	Errors    int64
-	Cancelled int64
-	// Shed counts submissions rejected with ErrOverloaded.
-	Shed int64
-	// Expired counts admitted requests evicted with ErrDeadlineExpired.
-	Expired        int64
-	QueueDepth     int64
-	QueueLatency   stats.Summary
-	ComputeLatency stats.Summary
-	// PreprocessLatency summarizes the encoded-image preprocess stage
-	// (zero-count for models never hit through that path).
-	PreprocessLatency stats.Summary
-	// ClassQueueLatency holds the queue-latency summary per SLO class
-	// (keyed by Class.String()) for classes with observations.
-	ClassQueueLatency map[string]stats.Summary
-	// QueueHist and ComputeHist are the histogram snapshots the
-	// summaries above were computed from, in the shared bucket layout —
-	// what /v2/metrics ships so the router can merge distributions
-	// exactly.
-	QueueHist      metrics.HistogramSnapshot
-	ComputeHist    metrics.HistogramSnapshot
-	PreprocessHist metrics.HistogramSnapshot
-	// ClassQueueHist holds the per-class queue histograms (same keys as
-	// ClassQueueLatency).
-	ClassQueueHist map[string]metrics.HistogramSnapshot
+	Model     string `json:"model" label:"model"`
+	Requests  int64  `json:"requests" prom:"harvest_requests_total,counter,Requests completed successfully."`
+	Items     int64  `json:"items" prom:"harvest_items_total,counter,Images served in successful requests."`
+	Batches   int64  `json:"batches" prom:"harvest_batches_total,counter,Fused batches executed."`
+	Errors    int64  `json:"errors" prom:"harvest_errors_total,counter,Requests failed by the backend or shutdown."`
+	Cancelled int64  `json:"cancelled" prom:"harvest_cancelled_total,counter,Requests withdrawn before dispatch."`
+	// Shed counts submissions rejected with ErrOverloaded (HTTP 429).
+	Shed int64 `json:"shed" prom:"harvest_shed_total,counter,Submissions rejected by admission control."`
+	// Expired counts admitted requests evicted with ErrDeadlineExpired
+	// (HTTP 504).
+	Expired     int64                     `json:"expired" prom:"harvest_expired_total,counter,Admitted requests shed past their deadline."`
+	QueueDepth  int64                     `json:"queue_depth" prom:"harvest_queue_depth,gauge,Requests admitted but not yet dispatched."`
+	QueueHist   metrics.HistogramSnapshot `json:"queue_ms" prom:"harvest_queue_latency_seconds,histogram,Wall time from enqueue to batch execution start."`
+	ComputeHist metrics.HistogramSnapshot `json:"compute_ms" prom:"harvest_compute_latency_seconds,histogram,Execution time of the fused batch."`
+	// PreprocessHist covers the encoded-image preprocess stage (empty
+	// for models never hit through that path).
+	PreprocessHist metrics.HistogramSnapshot `json:"preprocess_ms" prom:"harvest_preprocess_latency_seconds,histogram,Encoded-image preprocess stage duration per request."`
+	// ClassQueueHist decomposes queue latency per SLO class (keyed by
+	// Class.String()) for classes with observations.
+	ClassQueueHist map[string]metrics.HistogramSnapshot `json:"queue_ms_by_class,omitempty" prom:"harvest_class_queue_latency_seconds,histogram,Queue latency per SLO class." label:"class"`
 	// Tenants decomposes activity per tenant (keyed by tenant id) once
 	// any request has carried tenant identity (the default tenant
 	// included).
-	Tenants map[string]TenantMetrics
+	Tenants map[string]TenantMetrics `json:"tenants,omitempty" label:"tenant"`
 }
 
 type modelRuntime struct {
@@ -382,16 +374,17 @@ type modelRuntime struct {
 	met      modelMetrics
 }
 
-// Stats summarizes a model runtime's activity.
+// Stats summarizes a model runtime's activity; it is also the
+// response of GET /v2/models/{name}/stats.
 type Stats struct {
-	Model string
-	// RequestsServed counts requests completed successfully.
-	RequestsServed int64
+	Model string `json:"model"`
+	// Requests counts requests completed successfully.
+	Requests int64 `json:"requests"`
 	// ItemsServed counts images in successfully served requests.
-	ItemsServed int64
-	BatchesRun  int64
+	ItemsServed int64 `json:"items_served"`
+	BatchesRun  int64 `json:"batches_run"`
 	// MeanBatchFill is mean served items per batch divided by MaxBatch.
-	MeanBatchFill float64
+	MeanBatchFill float64 `json:"mean_batch_fill"`
 }
 
 // Server is the inference server.
@@ -403,10 +396,10 @@ type Server struct {
 	// without their own (ModelConfig.Trace). Request-stage spans and
 	// batch spans land here.
 	trace *trace.Recorder
-	// extensions are extra metric blocks merged into GET /v2/metrics
-	// and GET /metrics by layers built on top of the server (the
-	// streaming ingest tier); see AddMetricsExtension.
-	extensions []metricsExtension
+	// extensions maps the names of extra metric blocks, contributed by
+	// layers built on top of the server (the streaming ingest tier), to
+	// their snapshot functions; see AddMetricsExtension.
+	extensions map[string]func() any
 }
 
 // NewServer creates an empty server.
@@ -1286,10 +1279,10 @@ func (s *Server) StatsFor(name string) (Stats, error) {
 		return Stats{}, fmt.Errorf("%w: %q", ErrUnknownModel, name)
 	}
 	st := Stats{
-		Model:          name,
-		RequestsServed: rt.met.requests.Load(),
-		ItemsServed:    rt.met.items.Load(),
-		BatchesRun:     rt.met.batches.Load(),
+		Model:       name,
+		Requests:    rt.met.requests.Load(),
+		ItemsServed: rt.met.items.Load(),
+		BatchesRun:  rt.met.batches.Load(),
 	}
 	if st.BatchesRun > 0 && rt.cfg.MaxBatch > 0 {
 		st.MeanBatchFill = float64(st.ItemsServed) / float64(st.BatchesRun) / float64(rt.cfg.MaxBatch)
@@ -1384,36 +1377,28 @@ func (s *Server) Metrics() []ModelMetrics {
 }
 
 func (rt *modelRuntime) snapshot() ModelMetrics {
-	qh := rt.met.queueLat.Snapshot()
-	ch := rt.met.computeLat.Snapshot()
-	ph := rt.met.preprocLat.Snapshot()
 	m := ModelMetrics{
-		Model:             rt.cfg.Name,
-		Requests:          rt.met.requests.Load(),
-		Items:             rt.met.items.Load(),
-		Batches:           rt.met.batches.Load(),
-		Errors:            rt.met.errors.Load(),
-		Cancelled:         rt.met.cancelled.Load(),
-		Shed:              rt.met.shed.Load(),
-		Expired:           rt.met.expired.Load(),
-		QueueDepth:        rt.inflight.Load(),
-		QueueLatency:      qh.Summary(),
-		ComputeLatency:    ch.Summary(),
-		PreprocessLatency: ph.Summary(),
-		QueueHist:         qh,
-		ComputeHist:       ch,
-		PreprocessHist:    ph,
+		Model:          rt.cfg.Name,
+		Requests:       rt.met.requests.Load(),
+		Items:          rt.met.items.Load(),
+		Batches:        rt.met.batches.Load(),
+		Errors:         rt.met.errors.Load(),
+		Cancelled:      rt.met.cancelled.Load(),
+		Shed:           rt.met.shed.Load(),
+		Expired:        rt.met.expired.Load(),
+		QueueDepth:     rt.inflight.Load(),
+		QueueHist:      rt.met.queueLat.Snapshot(),
+		ComputeHist:    rt.met.computeLat.Snapshot(),
+		PreprocessHist: rt.met.preprocLat.Snapshot(),
 	}
 	for c := Class(0); c < numClasses; c++ {
 		h := rt.met.classQueueLat[c].Snapshot()
 		if h.Count == 0 {
 			continue
 		}
-		if m.ClassQueueLatency == nil {
-			m.ClassQueueLatency = make(map[string]stats.Summary, int(numClasses))
+		if m.ClassQueueHist == nil {
 			m.ClassQueueHist = make(map[string]metrics.HistogramSnapshot, int(numClasses))
 		}
-		m.ClassQueueLatency[c.String()] = h.Summary()
 		m.ClassQueueHist[c.String()] = h
 	}
 	m.Tenants = rt.tenantSnapshots()

@@ -3,7 +3,6 @@ package serve
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -11,7 +10,6 @@ import (
 	"time"
 
 	"harvest/internal/metrics"
-	"harvest/internal/stats"
 )
 
 // DefaultTenant labels traffic that carries no tenant identity. It is
@@ -294,19 +292,17 @@ func (ts *tenantState) takeTokens(n float64, q TenantQuota) (bool, time.Duration
 }
 
 // TenantMetrics is a point-in-time snapshot of one tenant's activity
-// on one model. Latency summaries are in seconds.
+// on one model, keyed by tenant in ModelMetrics.Tenants.
 type TenantMetrics struct {
-	Tenant   string
-	Requests int64
-	Items    int64
+	Requests int64 `json:"requests" prom:"harvest_tenant_requests_total,counter,Requests served per tenant."`
+	Items    int64 `json:"items" prom:"harvest_tenant_items_total,counter,Images served per tenant."`
 	// Shed counts this tenant's quota and queue-full rejections — its
 	// isolated 429 budget.
-	Shed    int64
-	Expired int64
+	Shed    int64 `json:"shed" prom:"harvest_tenant_shed_total,counter,Per-tenant quota and queue-full rejections."`
+	Expired int64 `json:"expired" prom:"harvest_tenant_expired_total,counter,Per-tenant deadline evictions."`
 	// QueueDepth is the tenant's current queued-request occupancy.
-	QueueDepth   int64
-	QueueLatency stats.Summary
-	QueueHist    metrics.HistogramSnapshot
+	QueueDepth int64                     `json:"queue_depth" prom:"harvest_tenant_queue_depth,gauge,Queued requests per tenant."`
+	QueueHist  metrics.HistogramSnapshot `json:"queue_ms" prom:"harvest_tenant_queue_latency_seconds,histogram,Queue latency per tenant."`
 }
 
 // tenantState returns (creating on first use) the accounting state for
@@ -386,8 +382,7 @@ func (rt *modelRuntime) tenantDrainEstimate(ts *tenantState) time.Duration {
 	return rt.cfg.QueueDelay + time.Duration(rounds)*rt.estimatedExecDuration(rt.cfg.MaxBatch)
 }
 
-// tenantSnapshots builds the per-tenant metrics section, sorted by
-// tenant for deterministic output.
+// tenantSnapshots builds the per-tenant metrics section.
 func (rt *modelRuntime) tenantSnapshots() map[string]TenantMetrics {
 	rt.tmu.Lock()
 	states := make([]*tenantState, 0, len(rt.tenants))
@@ -398,19 +393,15 @@ func (rt *modelRuntime) tenantSnapshots() map[string]TenantMetrics {
 	if len(states) == 0 {
 		return nil
 	}
-	sort.Slice(states, func(i, j int) bool { return states[i].tenant < states[j].tenant })
 	out := make(map[string]TenantMetrics, len(states))
 	for _, ts := range states {
-		h := ts.queueLat.Snapshot()
 		out[ts.tenant] = TenantMetrics{
-			Tenant:       ts.tenant,
-			Requests:     ts.requests.Load(),
-			Items:        ts.items.Load(),
-			Shed:         ts.shed.Load(),
-			Expired:      ts.expired.Load(),
-			QueueDepth:   ts.queuedReqs.Load(),
-			QueueLatency: h.Summary(),
-			QueueHist:    h,
+			Requests:   ts.requests.Load(),
+			Items:      ts.items.Load(),
+			Shed:       ts.shed.Load(),
+			Expired:    ts.expired.Load(),
+			QueueDepth: ts.queuedReqs.Load(),
+			QueueHist:  ts.queueLat.Snapshot(),
 		}
 	}
 	return out

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -124,50 +123,34 @@ func (ing *Ingest) handleStream(w http.ResponseWriter, r *http.Request) {
 	flusher.Flush()
 }
 
+// MetricsExtension names the ingest tier's block under "extensions" in
+// GET /v2/metrics; its families join the server's GET /metrics.
+const MetricsExtension = "stream"
+
+func init() { serve.RegisterMetricsExtension[MetricsSnapshot](MetricsExtension) }
+
 // MetricsSnapshot is the ingest tier's aggregate accounting, exported
-// under the "stream" extension of GET /v2/metrics.
+// as the MetricsExtension block and merged across replicas by a router.
 type MetricsSnapshot struct {
-	ActiveSessions int   `json:"active_sessions"`
-	Frames         int64 `json:"frames"`
-	ServedEdge     int64 `json:"served_edge"`
-	ServedCloud    int64 `json:"served_cloud"`
-	DedupHits      int64 `json:"dedup_hits"`
-	Dropped        int64 `json:"dropped"`
-	RejectedOrder  int64 `json:"rejected_order"`
-	Failed         int64 `json:"failed"`
-	// E2EMs summarizes frame receipt → outcome for served and cached
+	ActiveSessions int   `json:"active_sessions" prom:"harvest_stream_active_sessions,gauge,Live camera ingest sessions."`
+	Frames         int64 `json:"frames" prom:"harvest_stream_frames_total,counter,Frames received across all camera sessions."`
+	ServedEdge     int64 `json:"served_edge" prom:"harvest_stream_served_edge_total,counter,Frames served by the local edge tier."`
+	ServedCloud    int64 `json:"served_cloud" prom:"harvest_stream_served_cloud_total,counter,Frames offloaded to and served by the cloud tier."`
+	DedupHits      int64 `json:"dedup_hits" prom:"harvest_stream_dedup_hits_total,counter,Frames answered from the temporal dedup cache."`
+	Dropped        int64 `json:"dropped" prom:"harvest_stream_frames_dropped_total,counter,Frames dropped at admission by the drop-stale gate."`
+	RejectedOrder  int64 `json:"rejected_order" prom:"harvest_stream_rejected_order_total,counter,Frames rejected for out-of-order sequence numbers."`
+	Failed         int64 `json:"failed" prom:"harvest_stream_failed_total,counter,Admitted frames that failed to serve."`
+	// E2E is frame receipt → outcome latency for served and cached
 	// frames.
-	E2EMs LatencySummaryJSON `json:"e2e_ms"`
-	// UplinkMs summarizes the modeled upload cost of cloud-shipped
-	// frames.
-	UplinkMs LatencySummaryJSON `json:"uplink_ms"`
+	E2E metrics.HistogramSnapshot `json:"e2e_ms" prom:"harvest_stream_e2e_latency_seconds,histogram,Frame receipt to outcome latency (served and cached frames)."`
+	// Uplink is the modeled upload cost of cloud-shipped frames.
+	Uplink metrics.HistogramSnapshot `json:"uplink_ms" prom:"harvest_stream_uplink_latency_seconds,histogram,Modeled edge-to-cloud upload time of offloaded frames."`
 	// Tenants decomposes session/frame volume per tenant.
-	Tenants map[string]TenantStreamStats `json:"tenants,omitempty"`
+	Tenants map[string]TenantStreamStats `json:"tenants,omitempty" label:"tenant"`
 }
 
-// LatencySummaryJSON is a milliseconds quantile summary.
-type LatencySummaryJSON struct {
-	N    int     `json:"n"`
-	Mean float64 `json:"mean"`
-	P50  float64 `json:"p50"`
-	P95  float64 `json:"p95"`
-	P99  float64 `json:"p99"`
-}
-
-func latencySummary(l *metrics.LatencyRecorder) LatencySummaryJSON {
-	s := l.Summary()
-	return LatencySummaryJSON{
-		N:    s.N,
-		Mean: s.Mean * 1000,
-		P50:  s.P50 * 1000,
-		P95:  s.P95 * 1000,
-		P99:  s.P99 * 1000,
-	}
-}
-
-// MetricsJSON snapshots the ingest metrics; its shape matches the
-// serve metrics-extension hook.
-func (ing *Ingest) MetricsJSON() any {
+// Metrics snapshots the ingest metrics.
+func (ing *Ingest) Metrics() MetricsSnapshot {
 	return MetricsSnapshot{
 		ActiveSessions: ing.ActiveSessions(),
 		Frames:         ing.met.frames.Load(),
@@ -177,50 +160,8 @@ func (ing *Ingest) MetricsJSON() any {
 		Dropped:        ing.met.dropped.Load(),
 		RejectedOrder:  ing.met.rejectedOrder.Load(),
 		Failed:         ing.met.failed.Load(),
-		E2EMs:          latencySummary(&ing.met.e2e),
-		UplinkMs:       latencySummary(&ing.met.uplink),
+		E2E:            ing.met.e2e.Snapshot(),
+		Uplink:         ing.met.uplink.Snapshot(),
 		Tenants:        ing.TenantStats(),
-	}
-}
-
-// WriteProm writes the ingest metrics in Prometheus text exposition
-// format; its shape matches the serve metrics-extension hook.
-func (ing *Ingest) WriteProm(w io.Writer) {
-	counter := func(name, help string, v int64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
-	}
-	fmt.Fprintf(w, "# HELP harvest_stream_active_sessions Live camera ingest sessions.\n"+
-		"# TYPE harvest_stream_active_sessions gauge\nharvest_stream_active_sessions %d\n",
-		ing.ActiveSessions())
-	counter("harvest_stream_frames_total", "Frames received across all camera sessions.", ing.met.frames.Load())
-	counter("harvest_stream_served_edge_total", "Frames served by the local edge tier.", ing.met.servedEdge.Load())
-	counter("harvest_stream_served_cloud_total", "Frames offloaded to and served by the cloud tier.", ing.met.servedCloud.Load())
-	counter("harvest_stream_dedup_hits_total", "Frames answered from the temporal dedup cache.", ing.met.dedupHits.Load())
-	counter("harvest_stream_frames_dropped_total", "Frames dropped at admission by the drop-stale gate.", ing.met.dropped.Load())
-	counter("harvest_stream_rejected_order_total", "Frames rejected for out-of-order sequence numbers.", ing.met.rejectedOrder.Load())
-	counter("harvest_stream_failed_total", "Admitted frames that failed to serve.", ing.met.failed.Load())
-	e2e := latencySummary(&ing.met.e2e)
-	fmt.Fprintf(w, "# HELP harvest_stream_e2e_p99_ms Frame receipt to outcome P99 (served and cached frames).\n"+
-		"# TYPE harvest_stream_e2e_p99_ms gauge\nharvest_stream_e2e_p99_ms %g\n", e2e.P99)
-	up := latencySummary(&ing.met.uplink)
-	fmt.Fprintf(w, "# HELP harvest_stream_uplink_p99_ms Modeled edge-to-cloud upload P99 for offloaded frames.\n"+
-		"# TYPE harvest_stream_uplink_p99_ms gauge\nharvest_stream_uplink_p99_ms %g\n", up.P99)
-	tenants := ing.TenantStats()
-	if len(tenants) > 0 {
-		names := make([]string, 0, len(tenants))
-		for t := range tenants {
-			names = append(names, t)
-		}
-		sort.Strings(names)
-		fmt.Fprintf(w, "# HELP harvest_stream_tenant_frames_total Frames received per tenant.\n"+
-			"# TYPE harvest_stream_tenant_frames_total counter\n")
-		for _, t := range names {
-			fmt.Fprintf(w, "harvest_stream_tenant_frames_total%s %d\n", metrics.PromLabel("tenant", t), tenants[t].Frames)
-		}
-		fmt.Fprintf(w, "# HELP harvest_stream_tenant_served_total Frames served per tenant (edge or cloud).\n"+
-			"# TYPE harvest_stream_tenant_served_total counter\n")
-		for _, t := range names {
-			fmt.Fprintf(w, "harvest_stream_tenant_served_total%s %d\n", metrics.PromLabel("tenant", t), tenants[t].Served)
-		}
 	}
 }

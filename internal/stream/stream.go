@@ -154,8 +154,8 @@ type ingestMetrics struct {
 // sessions it has opened, and its frame/served volume.
 type TenantStreamStats struct {
 	Sessions int64 `json:"sessions"`
-	Frames   int64 `json:"frames"`
-	Served   int64 `json:"served"`
+	Frames   int64 `json:"frames" prom:"harvest_stream_tenant_frames_total,counter,Frames received per tenant."`
+	Served   int64 `json:"served" prom:"harvest_stream_tenant_served_total,counter,Frames served per tenant (edge or cloud)."`
 }
 
 // Ingest owns the per-camera sessions and their shared configuration.
